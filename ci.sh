@@ -6,6 +6,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
+echo "==> benchmark build (perfbench is its own workspace)"
+# Build only: a public-API change in the crates must not break the
+# repository benchmark unseen.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
 
@@ -145,16 +150,13 @@ cargo run -q --release --offline -p bf4-bench --bin report -- \
 echo "differential OK ($(wc -l < "$tmpdir/seq.txt") report lines identical)"
 
 echo "==> cross-solver-mode corpus differential"
-# The same normalized corpus reports must come out of the incremental and
-# portfolio backends, byte for byte — the contract that makes
+# The same normalized corpus reports must come out of the oneshot and
+# incremental modes, byte for byte — the contract that makes
 # --solver-mode a pure performance knob.
 cargo run -q --release --offline -p bf4-bench --bin report -- corpus \
     --solver-mode incremental --jobs 4 > "$tmpdir/inc.txt" 2>/dev/null
 diff -u "$tmpdir/seq.txt" "$tmpdir/inc.txt"
-cargo run -q --release --offline -p bf4-bench --bin report -- corpus \
-    --solver-mode portfolio --jobs 4 > "$tmpdir/race.txt" 2>/dev/null
-diff -u "$tmpdir/seq.txt" "$tmpdir/race.txt"
-echo "solver-mode differential OK (oneshot = incremental = portfolio)"
+echo "solver-mode differential OK (oneshot = incremental)"
 
 echo "==> chaos gate (seeded fault schedules, conservative degradation only)"
 # Three seeded schedules over the whole corpus: every report must be

@@ -1,6 +1,5 @@
 //! Solver-layer benches: the governed solver vs the raw internal
-//! bit-blasting CDCL backend (plus Z3 when that feature is on) on
-//! small QF_BV formulas, plus term construction and S-expression codec
+//! bit-blasting CDCL backend on small QF_BV formulas, plus term construction and S-expression codec
 //! throughput.
 
 use bf4_smt::{Solver, Sort, Term};
@@ -20,13 +19,6 @@ fn sample_formula(width: u32) -> Term {
 fn bench_backends(c: &mut Criterion) {
     let f = sample_formula(12);
     let mut g = c.benchmark_group("solver-backends");
-    #[cfg(feature = "z3")]
-    g.bench_function("z3", |b| {
-        b.iter(|| {
-            let mut s = bf4_smt::Z3Backend::new();
-            s.solve(black_box(&f)).result
-        })
-    });
     g.bench_function("governed-default", |b| {
         b.iter(|| {
             let mut s = bf4_smt::default_solver();

@@ -52,9 +52,9 @@
 //!                      unless the warm hit rate strictly beats the cold
 //!                      one and the reports stay identical
 //! report solverbench [--out FILE] [--jobs N]
-//!                      corpus wall-clock in all three solver modes
-//!                      (oneshot, incremental, portfolio; optionally
-//!                      written as BENCH_solver.json); exit 1 unless the
+//!                      corpus wall-clock in both solver modes
+//!                      (oneshot, incremental; optionally written as
+//!                      BENCH_solver.json); exit 1 unless the
 //!                      incremental run strictly beats oneshot, reuses
 //!                      solver contexts, and every normalized report is
 //!                      byte-identical across the modes
@@ -487,7 +487,7 @@ fn corpus() {
                     .and_then(|v| bf4_smt::SolverMode::parse(v))
                     .unwrap_or_else(|| {
                         eprintln!(
-                            "report corpus: --solver-mode expects oneshot, incremental or portfolio"
+                            "report corpus: --solver-mode expects oneshot or incremental"
                         );
                         std::process::exit(2);
                     });
@@ -1105,7 +1105,7 @@ fn solverbench() {
         }
         i += 1;
     }
-    // Metrics give us the context-reuse and race counters per run (the
+    // Metrics give us the context-reuse counters per run (the
     // engine snapshots a before/after delta around each corpus pass).
     bf4_obs::set_metrics(true);
     let config = EngineConfig {
@@ -1114,11 +1114,7 @@ fn solverbench() {
     };
     println!("== solverbench: corpus wall-clock per solver mode (jobs={jobs}) ==");
     let programs = corpus_programs();
-    let modes = [
-        bf4_smt::SolverMode::Oneshot,
-        bf4_smt::SolverMode::Incremental,
-        bf4_smt::SolverMode::Portfolio,
-    ];
+    let modes = [bf4_smt::SolverMode::Oneshot, bf4_smt::SolverMode::Incremental];
     let mut runs = Vec::new();
     for mode in modes {
         let mut options = VerifyOptions::default();
@@ -1131,13 +1127,10 @@ fn solverbench() {
     for (mode, wall, _, stats) in &runs {
         let speedup = oneshot_wall / wall.max(1e-9);
         println!(
-            "{:<11} wall={wall:>7.3}s speedup={speedup:>5.2}x ctx-reuse={} ctx-reset={} races={} (primary {}, challenger {})",
+            "{:<11} wall={wall:>7.3}s speedup={speedup:>5.2}x ctx-reuse={} ctx-reset={}",
             format!("{mode:?}").to_lowercase(),
             solver_counter(stats, "smt.ctx.reuse"),
             solver_counter(stats, "smt.ctx.reset"),
-            solver_counter(stats, "smt.race.spawned"),
-            solver_counter(stats, "smt.race.primary_win"),
-            solver_counter(stats, "smt.race.challenger_win"),
         );
     }
     // The identity gate: the paper's verdicts may not depend on how the
@@ -1153,17 +1146,12 @@ fn solverbench() {
     }
     let inc_wall = runs[1].1;
     let inc_speedup = oneshot_wall / inc_wall.max(1e-9);
-    let pf_wall = runs[2].1;
-    let pf_speedup = oneshot_wall / pf_wall.max(1e-9);
     let inc_reuse = solver_counter(&runs[1].3, "smt.ctx.reuse");
     if let Some(path) = out {
         let json = format!(
-            "{{\n  \"bench\": \"solver\",\n  \"programs\": {},\n  \"jobs\": {jobs},\n  \"oneshot\": {{\"wall_seconds\": {oneshot_wall:.6}}},\n  \"incremental\": {{\"wall_seconds\": {inc_wall:.6}, \"speedup\": {inc_speedup:.4}, \"ctx_reuse\": {inc_reuse}, \"ctx_reset\": {}}},\n  \"portfolio\": {{\"wall_seconds\": {pf_wall:.6}, \"speedup\": {pf_speedup:.4}, \"races_spawned\": {}, \"primary_wins\": {}, \"challenger_wins\": {}}},\n  \"reports_identical\": {identical}\n}}\n",
+            "{{\n  \"bench\": \"solver\",\n  \"programs\": {},\n  \"jobs\": {jobs},\n  \"oneshot\": {{\"wall_seconds\": {oneshot_wall:.6}}},\n  \"incremental\": {{\"wall_seconds\": {inc_wall:.6}, \"speedup\": {inc_speedup:.4}, \"ctx_reuse\": {inc_reuse}, \"ctx_reset\": {}}},\n  \"reports_identical\": {identical}\n}}\n",
             programs.len(),
             solver_counter(&runs[1].3, "smt.ctx.reset"),
-            solver_counter(&runs[2].3, "smt.race.spawned"),
-            solver_counter(&runs[2].3, "smt.race.primary_win"),
-            solver_counter(&runs[2].3, "smt.race.challenger_win"),
         );
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("report solverbench: cannot write {path}: {e}");
@@ -1637,7 +1625,6 @@ fn regress_cmd() {
             ("reports_identical", Dir::Lower),
             ("incremental.speedup", Dir::Lower),
             ("incremental.ctx_reuse", Dir::Lower),
-            ("portfolio.speedup", Dir::Lower),
         ],
         "shim" => vec![
             ("throughput.speedup", Dir::Lower),

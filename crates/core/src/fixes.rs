@@ -375,10 +375,10 @@ mod tests {
         let res = crate::fast_infer::fast_infer(&cfg, lpm_idx, &Default::default());
         let ra = ReachAnalysis::new(&cfg);
         let mut bugs = ra.found_bugs(&cfg);
-        let mut z3 = bf4_smt::default_solver();
+        let mut solver = bf4_smt::default_solver();
         let n_controlled = {
             let specs: Vec<bf4_smt::Term> = res.specs.clone();
-            check_bugs(&mut z3, &mut bugs, &specs, BugStatus::Uncontrolled);
+            check_bugs(&mut solver, &mut bugs, &specs, BugStatus::Uncontrolled);
             bugs.iter()
                 .filter(|b| {
                     b.info.kind == BugKind::InvalidHeaderAccess

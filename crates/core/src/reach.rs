@@ -5,7 +5,7 @@
 //! contribute equalities (`x@3 == e`), branch edges contribute the branch
 //! condition or its negation, and join points take the disjunction of
 //! their incoming conditions. Because terms are DAG-shared, the resulting
-//! formulas stay linear in program size (Flanagan–Saxe); Z3 then decides
+//! formulas stay linear in program size (Flanagan–Saxe); the solver then decides
 //! `SAT(reach(bug))` per bug node.
 
 use bf4_ir::{BlockId, BlockKind, BugInfo, Cfg, Instr, Terminator};

@@ -25,6 +25,7 @@
 use bf4_core::reach::FoundBug;
 use bf4_ir::slice::slice_fingerprint;
 use bf4_ir::Cfg;
+use bf4_obs::durable::{fnv1a, fnv1a_update};
 use bf4_smt::query_key;
 use std::collections::HashMap;
 
@@ -39,16 +40,7 @@ pub struct BugPrint {
 }
 
 fn mix(slice_fp: u64, cond_key: u128) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in slice_fp
-        .to_le_bytes()
-        .iter()
-        .chain(cond_key.to_le_bytes().iter())
-    {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_update(fnv1a(&slice_fp.to_le_bytes()), &cond_key.to_le_bytes())
 }
 
 /// Compute identity and fingerprint for every bug of a prepared round,

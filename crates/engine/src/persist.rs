@@ -7,10 +7,11 @@
 //! layout under `--cache-dir`:
 //!
 //! * `snap-<generation>.bf4q` — an immutable **snapshot**: one header
-//!   line plus one line per entry, every line individually checksummed
-//!   (FNV-1a, the journal's checksum). Snapshots are written to a temp
-//!   file, fsynced, then atomically renamed — a crash mid-compaction
-//!   leaves the previous generation intact.
+//!   line plus one line per entry, every line individually sealed with
+//!   the shared [`bf4_obs::durable`] checksum. Snapshots are written with
+//!   [`bf4_obs::durable::persist_bytes`] (temp file, fsync, atomic rename,
+//!   directory fsync) — a crash mid-compaction leaves the previous
+//!   generation intact.
 //! * `wal.bf4q` — an append-only **log** of entries computed since the
 //!   snapshot, same line format. Appends are the cheap steady-state save;
 //!   once the log rivals the snapshot in size, a save compacts: new
@@ -32,6 +33,7 @@
 //! torn file behind so recovery is exercised against real torn state.
 
 use crate::cache::QueryCache;
+use bf4_obs::durable::{persist_bytes, seal, temp_path, unseal};
 use bf4_smt::SatResult;
 use std::fs;
 use std::io::{self, Write};
@@ -46,45 +48,13 @@ const LOG_MAGIC: &str = "bf4ql";
 /// Name of the append-only log file.
 const LOG_NAME: &str = "wal.bf4q";
 
-/// FNV-1a over bytes — the same checksum the shim journal uses. Each
-/// input byte multiplies the state by an odd prime, a bijection on u64,
-/// so any single-byte change always changes the hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn checksummed(payload: &str) -> String {
-    format!("{payload} #{:016x}\n", fnv1a(payload.as_bytes()))
-}
-
-/// Split `payload #checksum`, verifying the checksum. `None` = corrupt.
-///
-/// The checksum field must be *canonical*: exactly 16 lowercase hex
-/// chars. A permissive parse (`from_str_radix` accepts uppercase and a
-/// sign) would let some single-bit flips — e.g. `b` → `B` — produce a
-/// different byte that still verifies, weakening the
-/// every-mutation-is-detected guarantee the property test pins down.
-fn verify_line(line: &str) -> Option<&str> {
-    let (payload, sum) = line.rsplit_once(" #")?;
-    if sum.len() != 16 || !sum.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
-        return None;
-    }
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    (sum == fnv1a(payload.as_bytes())).then_some(payload)
-}
-
 fn encode_entry(key: u128, result: SatResult) -> String {
     let v = match result {
         SatResult::Sat => 'S',
         SatResult::Unsat => 'U',
         SatResult::Unknown => unreachable!("Unknown is never persisted"),
     };
-    checksummed(&format!("{key:032x} {v}"))
+    seal(&format!("{key:032x} {v}")) + "\n"
 }
 
 fn decode_entry(payload: &str) -> Option<(u128, SatResult)> {
@@ -108,11 +78,11 @@ struct Header {
 }
 
 fn encode_header(magic: &str, fingerprint: u64, generation: u64) -> String {
-    checksummed(&format!("{magic} {VERSION} {fingerprint:016x} {generation}"))
+    seal(&format!("{magic} {VERSION} {fingerprint:016x} {generation}")) + "\n"
 }
 
 fn decode_header(line: &str, magic: &str) -> Option<Header> {
-    let payload = verify_line(line)?;
+    let payload = unseal(line)?;
     let mut parts = payload.split(' ');
     if parts.next()? != magic {
         return None;
@@ -286,7 +256,7 @@ impl Store {
             return Ok(None);
         }
         for line in lines {
-            match verify_line(line).and_then(decode_entry) {
+            match unseal(line).and_then(decode_entry) {
                 Some((key, result)) => {
                     cache.preload(key, result);
                     self.persisted.insert(key);
@@ -375,20 +345,13 @@ impl Store {
         for &(key, result) in &entries {
             buf.push_str(&encode_entry(key, result));
         }
-        let tmp = self.dir.join(format!("snap-{next}.bf4q.tmp"));
         let dst = self.dir.join(format!("snap-{next}.bf4q"));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            if bf4_obs::fault::fire("cache.persist_io") {
-                let half = &buf.as_bytes()[..buf.len() / 2];
-                let _ = f.write_all(half);
-                let _ = f.sync_all();
-                return Err(injected_io("cache.persist_io"));
-            }
-            f.write_all(buf.as_bytes())?;
-            f.sync_all()?;
+        if bf4_obs::fault::fire("cache.persist_io") {
+            // Crash mid-compaction: a torn temp file, never renamed.
+            let _ = fs::write(temp_path(&dst), &buf.as_bytes()[..buf.len() / 2]);
+            return Err(injected_io("cache.persist_io"));
         }
-        fs::rename(&tmp, &dst)?;
+        persist_bytes(buf.as_bytes(), &dst, fs::File::sync_all)?;
 
         // The new snapshot is durable; stale bytes can go. Removal
         // failures are non-fatal — they only waste disk.
@@ -402,7 +365,7 @@ impl Store {
                     .and_then(|r| r.strip_suffix(".bf4q"))
                     .and_then(|g| g.parse::<u64>().ok())
                     .is_some_and(|gen| gen != next);
-                if is_old_snap || name.ends_with(".bf4q.tmp") {
+                if is_old_snap || name.contains(".bf4q.tmp") {
                     let _ = fs::remove_file(&path);
                 }
             }
@@ -546,13 +509,20 @@ mod tests {
         store.save(&cache).unwrap();
         // Simulate a crash between temp-file write and rename: a torn
         // temp file next to the good generation-1 snapshot.
-        fs::write(dir.join("snap-2.bf4q.tmp"), b"bf4qc 1 torn").unwrap();
+        let torn = temp_path(&dir.join("snap-2.bf4q"));
+        fs::write(&torn, b"bf4qc 1 torn").unwrap();
 
         let warm = QueryCache::new(4096);
-        let (_, load) = Store::open(&dir, &warm).unwrap();
+        let (mut store, load) = Store::open(&dir, &warm).unwrap();
         assert_eq!(load.generation, 1);
         assert_eq!(load.loaded, 30);
         assert_eq!(load.corrupt_records, 0);
+        // The next compaction reclaims the stale temp file.
+        for k in 0..64u128 {
+            warm.insert(0xbeef_0000 + k, SatResult::Sat);
+        }
+        assert!(store.save(&warm).unwrap().compacted);
+        assert!(!torn.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -152,8 +152,8 @@ fn tiny_cache_capacity_evicts_but_stays_correct() {
 
 #[test]
 fn solver_modes_produce_identical_reports() {
-    // The differential contract behind `--solver-mode`: oneshot,
-    // incremental and portfolio backends must yield byte-identical
+    // The differential contract behind `--solver-mode`: the oneshot and
+    // incremental modes must yield byte-identical
     // normalized reports on the same corpus slice. Run incremental with
     // jobs > 1 so worker-held contexts survive across programs and the
     // reset path is exercised, not just the happy path.
@@ -167,25 +167,20 @@ fn solver_modes_produce_identical_reports() {
         .map(|((name, _), r)| normalize(name, r))
         .collect();
 
-    for mode in [
-        bf4_smt::SolverMode::Incremental,
-        bf4_smt::SolverMode::Portfolio,
-    ] {
-        let mut options = VerifyOptions::default();
-        options.solver.mode = mode;
-        for jobs in [1, 3] {
-            let config = EngineConfig {
-                jobs,
-                ..EngineConfig::default()
-            };
-            let (reports, _) = verify_corpus(&programs, &options, &config);
-            for (i, (name, _)) in programs.iter().enumerate() {
-                assert_eq!(
-                    baseline[i],
-                    normalize(name, &reports[i]),
-                    "{mode:?} report for {name} (jobs={jobs}) diverged from oneshot"
-                );
-            }
+    let mut options = VerifyOptions::default();
+    options.solver.mode = bf4_smt::SolverMode::Incremental;
+    for jobs in [1, 3] {
+        let config = EngineConfig {
+            jobs,
+            ..EngineConfig::default()
+        };
+        let (reports, _) = verify_corpus(&programs, &options, &config);
+        for (i, (name, _)) in programs.iter().enumerate() {
+            assert_eq!(
+                baseline[i],
+                normalize(name, &reports[i]),
+                "incremental report for {name} (jobs={jobs}) diverged from oneshot"
+            );
         }
     }
 }

@@ -26,6 +26,9 @@
 //!   (`BF4_FAULTS`), and every injected fault is itself traced;
 //! * [`expose`] — Prometheus text-exposition rendering (and the matching
 //!   parser/lint) of a metrics snapshot, served by `bf4d`;
+//! * [`durable`] — the primitives every checksummed log shares: one
+//!   FNV-1a hash, the strict `payload #<hex>` line seal and crash-safe
+//!   whole-file replace;
 //! * [`tsdb`] — the persistent per-request time-series (`tsdb.bf4t`):
 //!   checksummed append-only records with per-line salvage and
 //!   size-capped ring compaction;
@@ -44,6 +47,7 @@
 //! (solver queries, CFG passes, scheduler jobs), keeping whole-corpus
 //! overhead under the 5% budget documented in DESIGN.md §9.
 
+pub mod durable;
 pub mod event;
 pub mod expose;
 pub mod fault;

@@ -16,9 +16,10 @@
 //!   of a crashed daemon is acceptable for telemetry);
 //! * a size cap turns the file into a ring: when an append pushes the
 //!   file past `cap_bytes`, the newest records are rewritten into a
-//!   fresh file (tmp + fsync + atomic rename) down to half the cap, so
+//!   fresh file ([`crate::durable::persist_bytes`]) down to half the cap, so
 //!   the series is bounded but always ends "now".
 
+use crate::durable::{persist_bytes, seal, unseal};
 use crate::json::{self, Value};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -89,7 +90,7 @@ impl Sample {
 
     /// Parse one checksummed line back; `None` for anything corrupt.
     pub fn parse_line(line: &str) -> Option<Sample> {
-        let payload = verify_line(line)?;
+        let payload = unseal(line)?;
         let v = json::parse(payload).ok()?;
         let obj = v.as_obj()?;
         if obj.len() != 12 {
@@ -114,31 +115,6 @@ impl Sample {
             },
         })
     }
-}
-
-/// FNV-1a over the payload bytes (same constants as the engine's WAL).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Checksum a payload into its on-disk line (with trailing newline).
-fn checksummed(payload: &str) -> String {
-    format!("{payload} #{:016x}\n", fnv1a(payload.as_bytes()))
-}
-
-/// Split a line into its payload iff the checksum verifies
-/// canonically (exactly 16 lowercase hex digits after ` #`).
-fn verify_line(line: &str) -> Option<&str> {
-    let (payload, sum) = line.rsplit_once(" #")?;
-    if sum.len() != 16 || !sum.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()) {
-        return None;
-    }
-    (u64::from_str_radix(sum, 16).ok()? == fnv1a(payload.as_bytes())).then_some(payload)
 }
 
 /// What a load salvaged.
@@ -203,7 +179,7 @@ impl Tsdb {
     /// Append one record; compacts the ring first when the file is at
     /// cap. Returns whether a compaction ran.
     pub fn append(&self, sample: &Sample) -> io::Result<bool> {
-        let mut line = checksummed(&sample.render());
+        let mut line = seal(&sample.render()) + "\n";
         let compacted = match std::fs::metadata(&self.path) {
             Ok(m) if m.len() + line.len() as u64 > self.cap_bytes => {
                 self.compact()?;
@@ -253,7 +229,7 @@ impl Tsdb {
         let mut kept: Vec<String> = Vec::new();
         let mut bytes = 0u64;
         for s in loaded.samples.iter().rev() {
-            let line = checksummed(&s.render());
+            let line = seal(&s.render()) + "\n";
             if bytes + line.len() as u64 > keep_budget {
                 break;
             }
@@ -261,15 +237,7 @@ impl Tsdb {
             kept.push(line);
         }
         kept.reverse();
-        let tmp = self.path.with_extension("bf4t.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for line in &kept {
-                f.write_all(line.as_bytes())?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)
+        persist_bytes(kept.concat().as_bytes(), &self.path, File::sync_all)
     }
 }
 
@@ -326,7 +294,7 @@ mod tests {
         let mut text = std::fs::read_to_string(&path).unwrap();
         let idx = text.rfind("req-2").unwrap();
         text.replace_range(idx..idx + 5, "req-9");
-        text.push_str(&checksummed(&sample(3).render())[..20]);
+        text.push_str(&seal(&sample(3).render())[..20]);
         std::fs::write(&path, &text).unwrap();
         let out = load(&path).unwrap();
         assert_eq!(out.corrupt_records, 2);
@@ -343,7 +311,7 @@ mod tests {
         let dir = std::env::temp_dir().join("bf4-tsdb-ring");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let line_len = checksummed(&sample(1).render()).len() as u64;
+        let line_len = seal(&sample(1).render()).len() as u64 + 1;
         let cap = line_len * 6;
         let db = Tsdb::open(dir.join(TSDB_FILE), cap);
         let mut compactions = 0;
@@ -370,17 +338,17 @@ mod tests {
     fn escaped_program_names_survive_the_round_trip() {
         let mut s = sample(1);
         s.program = "we\"ird\nname\t∆".to_string();
-        let line = checksummed(&s.render());
+        let line = seal(&s.render()) + "\n";
         assert_eq!(Sample::parse_line(line.trim_end()), Some(s));
     }
 
     #[test]
     fn uppercase_hex_checksum_is_rejected_as_noncanonical() {
         let payload = sample(1).render();
-        let line = format!("{payload} #{:016X}", fnv1a(payload.as_bytes()));
+        let line = format!("{payload} #{:016X}", crate::durable::fnv1a(payload.as_bytes()));
         if line.contains(|c: char| c.is_ascii_uppercase() && c.is_ascii_hexdigit()) {
             assert_eq!(Sample::parse_line(&line), None);
         }
-        assert!(Sample::parse_line(checksummed(&payload).trim_end()).is_some());
+        assert!(Sample::parse_line(&seal(&payload)).is_some());
     }
 }

@@ -27,6 +27,7 @@
 
 use crate::{Decision, RuleUpdate, Shim, ShimError, Update};
 use bf4_core::specs::AnnotationFile;
+use bf4_obs::durable::{fnv1a, fnv1a_update, seal, unseal, FNV_OFFSET};
 
 /// One journaled (accepted) update.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,7 +101,7 @@ impl Journal {
             let _ = f.sync_all();
             return Err(std::io::Error::other("injected fault: shim.journal_fsync"));
         }
-        persist_bytes(&self.buf, path)
+        persist_journal(&self.buf, path)
     }
 
     /// Parse journal bytes, tolerating a truncated or corrupt tail: the
@@ -198,35 +199,13 @@ impl JournaledShim {
     ) -> (JournaledShim, RecoveryReport) {
         let parsed = Journal::parse(journal_bytes);
         let mut shim = Shim::new(annotations);
-        let mut report = RecoveryReport {
+        let counts = replay(&mut shim, &parsed.entries);
+        let report = RecoveryReport {
+            replayed: counts.replayed,
+            skipped: counts.skipped,
+            mismatched: counts.mismatched,
             truncated_tail: parsed.truncated,
-            ..RecoveryReport::default()
         };
-        for entry in &parsed.entries {
-            // An insert whose recorded id already holds this exact rule
-            // (live or tombstoned) was applied before: re-applying it would
-            // mint a fresh id — e.g. a doubled journal replaying the insert
-            // of a since-deleted rule. Skip it instead.
-            if let (Update::Insert { table, rule }, Some(id)) = (&entry.update, entry.rule_id) {
-                if shim.stored_rule(table, id) == Some(rule) {
-                    report.skipped += 1;
-                    continue;
-                }
-            }
-            match shim.apply(&entry.update) {
-                Ok(d) => {
-                    if d.rule_id == entry.rule_id {
-                        report.replayed += 1;
-                    } else {
-                        report.mismatched += 1;
-                    }
-                }
-                // Already present / already gone: the entry had been
-                // applied before the snapshot this journal extends.
-                Err(ShimError::Duplicate) | Err(ShimError::NoSuchRule) => report.skipped += 1,
-                Err(_) => report.mismatched += 1,
-            }
-        }
         let journal = Journal {
             buf: journal_bytes[..parsed.valid_len].to_vec(),
         };
@@ -234,54 +213,61 @@ impl JournaledShim {
     }
 }
 
+/// Entry tallies of one [`replay`].
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ReplayCounts {
+    pub replayed: usize,
+    pub skipped: usize,
+    pub mismatched: usize,
+}
+
+/// Replay journal entries into `shim`, idempotently: an entry that was
+/// already applied is skipped, and an entry whose outcome contradicts the
+/// journal (rejected, or an insert that gets a different rule id) is
+/// counted as mismatched. Shared by both recovery paths.
+pub(crate) fn replay<'a>(
+    shim: &mut Shim,
+    entries: impl IntoIterator<Item = &'a JournalEntry>,
+) -> ReplayCounts {
+    let mut c = ReplayCounts::default();
+    for entry in entries {
+        // An insert whose recorded id already holds this exact rule
+        // (live or tombstoned) was applied before: re-applying it would
+        // mint a fresh id — e.g. a doubled journal replaying the insert
+        // of a since-deleted rule. Skip it instead.
+        if let (Update::Insert { table, rule }, Some(id)) = (&entry.update, entry.rule_id) {
+            if shim.stored_rule(table, id) == Some(rule) {
+                c.skipped += 1;
+                continue;
+            }
+        }
+        match shim.apply(&entry.update) {
+            Ok(d) if d.rule_id == entry.rule_id => c.replayed += 1,
+            Ok(_) => c.mismatched += 1,
+            // Already present / already gone: the entry had been applied
+            // before the snapshot this journal extends.
+            Err(ShimError::Duplicate) | Err(ShimError::NoSuchRule) => c.skipped += 1,
+            Err(_) => c.mismatched += 1,
+        }
+    }
+    c
+}
+
 // ---------------------------------------------------------------------
 // record encoding
 // ---------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a over `bytes` — also used for [`Shim::state_digest`].
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_update(FNV_OFFSET, bytes)
-}
-
-/// Fold more bytes into a running FNV-1a state (streaming frame payloads).
-pub(crate) fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Crash-safe full rewrite of `buf` to `path`: write a temp file in the
-/// same directory, fsync the file, rename it over the destination, then
-/// fsync the containing directory — the rename is not durable on all
-/// filesystems until the directory's metadata itself reaches disk.
-pub(crate) fn persist_bytes(buf: &[u8], path: &std::path::Path) -> std::io::Result<()> {
-    use std::io::Write;
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("journal");
-    let tmp = dir.join(format!(".{name}.tmp-{}", std::process::id()));
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(buf)?;
-    {
+/// Crash-safe full rewrite of a journal to `path`
+/// ([`bf4_obs::durable::persist_bytes`]), with the fsync traced as
+/// `shim/journal_fsync`.
+pub(crate) fn persist_journal(buf: &[u8], path: &std::path::Path) -> std::io::Result<()> {
+    bf4_obs::durable::persist_bytes(buf, path, |f| {
         let _sp = bf4_obs::span("shim", "journal_fsync");
         let t0 = std::time::Instant::now();
         f.sync_all()?;
         bf4_obs::hist_record("shim.journal_fsync", t0.elapsed());
-    }
-    std::fs::rename(&tmp, path)?;
-    #[cfg(unix)]
-    std::fs::File::open(&dir)?.sync_all()?;
-    Ok(())
+        Ok(())
+    })
 }
 
 fn csv(vals: &[u128]) -> String {
@@ -314,15 +300,11 @@ pub(crate) fn encode(update: &Update, rule_id: Option<usize>) -> String {
         Update::Delete { table, rule_id } => format!("D {table} {rule_id}"),
         Update::SetDefault { table, action } => format!("S {table} {action}"),
     };
-    format!("{payload} #{:016x}", fnv1a(payload.as_bytes()))
+    seal(&payload)
 }
 
 fn decode(line: &str) -> Option<JournalEntry> {
-    let (payload, sum) = line.rsplit_once(" #")?;
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    if sum != fnv1a(payload.as_bytes()) {
-        return None;
-    }
+    let payload = unseal(line)?;
     let mut p = payload.split(' ');
     match p.next()? {
         "I" => {
@@ -426,21 +408,16 @@ pub(crate) fn encode_frame(seq: u64, entries: &[(Update, Option<usize>)]) -> Vec
     let header = format!("B {seq} {}", entries.len());
     let trailer = format!("C {seq} {:016x}", fnv1a(&payload));
     let mut out = Vec::new();
-    out.extend_from_slice(format!("{header} #{:016x}\n", fnv1a(header.as_bytes())).as_bytes());
+    out.extend_from_slice(seal(&header).as_bytes());
+    out.push(b'\n');
     out.extend_from_slice(&payload);
-    out.extend_from_slice(format!("{trailer} #{:016x}\n", fnv1a(trailer.as_bytes())).as_bytes());
+    out.extend_from_slice(seal(&trailer).as_bytes());
+    out.push(b'\n');
     out
 }
 
-/// Strip and verify the per-line checksum, returning the payload.
-fn checked_payload(line: &str) -> Option<&str> {
-    let (payload, sum) = line.rsplit_once(" #")?;
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    (sum == fnv1a(payload.as_bytes())).then_some(payload)
-}
-
 fn decode_frame_header(line: &str) -> Option<(u64, usize)> {
-    let payload = checked_payload(line)?;
+    let payload = unseal(line)?;
     let mut p = payload.split(' ');
     if p.next()? != "B" {
         return None;
@@ -454,7 +431,7 @@ fn decode_frame_header(line: &str) -> Option<(u64, usize)> {
 }
 
 fn decode_frame_trailer(line: &str) -> Option<(u64, u64)> {
-    let payload = checked_payload(line)?;
+    let payload = unseal(line)?;
     let mut p = payload.split(' ');
     if p.next()? != "C" {
         return None;
@@ -630,6 +607,12 @@ mod tests {
         bad.replace_range(0..1, "X");
         assert!(decode(&bad).is_none(), "checksum must catch edits");
         assert!(decode(&good[..good.len() - 3]).is_none());
+        // Uppercasing the hex sum is a single 0x20 bit flip per letter: a
+        // different line, so it must not verify.
+        let (payload, sum) = good.rsplit_once(" #").unwrap();
+        let upper = sum.to_uppercase();
+        assert_ne!(sum, upper, "the sum must contain a hex letter");
+        assert!(decode(&format!("{payload} #{upper}")).is_none());
     }
 
     #[test]

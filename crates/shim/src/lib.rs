@@ -637,7 +637,7 @@ impl Shim {
         for name in names {
             self.render_table_into(name, &mut render);
         }
-        journal::fnv1a(render.as_bytes())
+        bf4_obs::durable::fnv1a(render.as_bytes())
     }
 
     /// Render one table's shadow into the canonical digest format. The

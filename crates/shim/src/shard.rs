@@ -45,9 +45,10 @@
 //! never acknowledged; the file heals on the next append),
 //! `shim.overload` forces shedding.
 
-use crate::journal::{self, encode_frame, parse_frames, persist_bytes, Frame};
+use crate::journal::{self, encode_frame, parse_frames, persist_journal, replay};
 use crate::{Shim, ShimError, StoredRule, Update};
 use bf4_core::specs::AnnotationFile;
+use bf4_obs::durable::fnv1a;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{Seek, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -296,7 +297,7 @@ impl ShardedShim {
             .iter()
             .map(|d| {
                 let q = d.qualified();
-                let s = (journal::fnv1a(q.as_bytes()) as usize) % nshards;
+                let s = (fnv1a(q.as_bytes()) as usize) % nshards;
                 (q, s)
             })
             .collect();
@@ -626,36 +627,16 @@ impl ShardedShim {
         config: &ShimConfig,
     ) -> std::io::Result<(ShardedShim, BatchRecovery)> {
         let parsed = parse_frames(journal_bytes);
-        let mut report = BatchRecovery {
-            torn_tail: parsed.torn,
-            ..BatchRecovery::default()
-        };
         let mut mono = Shim::new(annotations);
-        for Frame { seq, entries } in &parsed.frames {
-            report.frames += 1;
-            if let Some(s) = seq {
-                report.last_seq = Some(report.last_seq.map_or(*s, |m: u64| m.max(*s)));
-            }
-            for entry in entries {
-                if let (Update::Insert { table, rule }, Some(id)) = (&entry.update, entry.rule_id) {
-                    if mono.stored_rule(table, id) == Some(rule) {
-                        report.skipped += 1;
-                        continue;
-                    }
-                }
-                match mono.apply(&entry.update) {
-                    Ok(d) => {
-                        if d.rule_id == entry.rule_id {
-                            report.replayed += 1;
-                        } else {
-                            report.mismatched += 1;
-                        }
-                    }
-                    Err(ShimError::Duplicate) | Err(ShimError::NoSuchRule) => report.skipped += 1,
-                    Err(_) => report.mismatched += 1,
-                }
-            }
-        }
+        let counts = replay(&mut mono, parsed.frames.iter().flat_map(|f| &f.entries));
+        let report = BatchRecovery {
+            frames: parsed.frames.len(),
+            replayed: counts.replayed,
+            skipped: counts.skipped,
+            mismatched: counts.mismatched,
+            torn_tail: parsed.torn,
+            last_seq: parsed.frames.iter().filter_map(|f| f.seq).max(),
+        };
         let sharded = ShardedShim::new(annotations, config)?;
         // Distribute the replayed state to each table's owner shard.
         for table in mono.table_names() {
@@ -702,7 +683,7 @@ impl ShardedShim {
         for name in names {
             guards[self.owner[name.as_str()]].render_table_into(name, &mut render);
         }
-        journal::fnv1a(render.as_bytes())
+        fnv1a(render.as_bytes())
     }
 
     /// Audit the shadow state against every inferred assertion
@@ -732,7 +713,7 @@ impl ShardedShim {
     /// rename + directory fsync).
     pub fn persist(&self, path: &Path) -> std::io::Result<()> {
         let buf = self.journal_bytes();
-        persist_bytes(&buf, path)
+        persist_journal(&buf, path)
     }
 
     /// Counter snapshot.

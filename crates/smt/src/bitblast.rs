@@ -367,10 +367,6 @@ pub struct BitBlastSolver {
     last: Option<LastSolve>,
     /// Resource limits applied to every check (default: unlimited).
     budget: ResourceBudget,
-    /// Cooperative cancellation flag handed to every CDCL call. Set by a
-    /// portfolio race when the other solver answered first, so a losing
-    /// challenger stops burning CPU mid-search.
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
     /// Why the last check returned `Unknown`, when it did.
     last_error: Option<SolverError>,
 }
@@ -390,15 +386,8 @@ impl BitBlastSolver {
             frames: vec![Vec::new()],
             last: None,
             budget: ResourceBudget::default(),
-            cancel: None,
             last_error: None,
         }
-    }
-
-    /// Make every subsequent check poll `flag` and abort with `Unknown`
-    /// once it reads `true` (polled at the deadline cadence).
-    pub fn set_cancel(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.cancel = Some(flag);
     }
 
     /// Current formula size (term DAG nodes over the assertion stack plus
@@ -436,7 +425,6 @@ impl BitBlastSolver {
         let limits = SolveLimits {
             deadline,
             max_conflicts: self.budget.max_conflicts,
-            cancel: self.cancel.clone(),
         };
         let mut solver = CdclSolver::new(blaster.cnf.num_vars, blaster.cnf.clauses.clone());
         let result = match solver.solve_limited(&assumption_lits, &limits) {
@@ -500,7 +488,6 @@ impl Solver for BitBlastSolver {
         let limits = SolveLimits {
             deadline: self.budget.timeout.map(|t| Instant::now() + t),
             max_conflicts: self.budget.max_conflicts,
-            cancel: self.cancel.clone(),
         };
         let all = last.assumption_lits.clone();
         let mut kept: Vec<usize> = (0..all.len()).collect();

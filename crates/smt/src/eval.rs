@@ -2,8 +2,7 @@
 //!
 //! Used by the dataplane interpreter (`bf4-sim`), the runtime shim's
 //! condition checker (`bf4-shim`), counterexample replay, and the
-//! differential test harness that cross-checks the Z3 backend against the
-//! internal solver.
+//! differential test harness that checks solver models by evaluation.
 
 use crate::term::{fold_bv, fold_cmp, Sort, Term, TermNode, Value};
 use std::collections::HashMap;

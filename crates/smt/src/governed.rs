@@ -1,22 +1,20 @@
-//! Solver governance: budgets, retries and fallback around any [`Solver`].
+//! Solver governance: budgets and retries around the internal solver.
 //!
-//! [`GovernedSolver`] wraps a backend and enforces a [`ResourceBudget`] on
-//! every query:
+//! [`GovernedSolver`] wraps the internal bit-blasting CDCL solver in one of
+//! its two [`SolverMode`]s and enforces a [`ResourceBudget`] on every
+//! query:
 //!
 //! * a per-query wall-clock deadline and a lifetime query cap;
 //! * on a transient `Unknown`, bounded retries on a **fresh context** with
 //!   the assertion stack re-asserted in simplified form (stale learnt
 //!   state and lowering memos are the classic cause of flaky `Unknown`s);
-//! * if the primary backend still cannot decide and the formula is small
-//!   enough, a last-resort **fallback** to the internal bit-blasting CDCL
-//!   solver, which is complete on the QF_BV fragment bf4 emits;
 //! * `Unknown` that survives all of that is returned as `Unknown`, with
 //!   [`Solver::last_error`] explaining which limit fired — callers must
 //!   treat it as "possible bug, undecided", never as "no bug".
 //!
-//! The wrapper mirrors the assertion stack itself, so it can rebuild any
-//! backend from scratch at any time; this is also what makes the fresh
-//! context retries and the fallback possible at all.
+//! The wrapper mirrors the assertion stack itself, so it can rebuild the
+//! backend from scratch at any time; this is what makes the fresh-context
+//! retries possible at all.
 
 use crate::bitblast::BitBlastSolver;
 use crate::incremental::IncrementalSolver;
@@ -24,59 +22,8 @@ use crate::simplify::simplify;
 use crate::solver::{BudgetKind, ResourceBudget, SatResult, Solver, SolverError};
 use crate::term::{Sort, Term};
 use crate::Assignment;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which backend a [`GovernedSolver`] (or the [`new_solver`] factory) runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// Z3 when the crate is built with the `z3` feature, otherwise the
-    /// internal bit-blasting CDCL solver.
-    #[default]
-    Auto,
-    /// The internal bit-blasting CDCL solver.
-    Internal,
-    /// The Z3 backend (requires the `z3` feature; [`new_solver`] falls
-    /// back to `Internal` when the feature is off).
-    Z3,
-}
-
-impl BackendKind {
-    fn resolve(self) -> BackendKind {
-        match self {
-            BackendKind::Auto | BackendKind::Z3 => {
-                #[cfg(feature = "z3")]
-                {
-                    BackendKind::Z3
-                }
-                #[cfg(not(feature = "z3"))]
-                {
-                    BackendKind::Internal
-                }
-            }
-            BackendKind::Internal => BackendKind::Internal,
-        }
-    }
-
-    fn build(self, mode: SolverMode) -> Box<dyn Solver> {
-        match self.resolve() {
-            // The internal backend is context-per-check in oneshot mode and
-            // a persistent assumption-literal context otherwise; Z3 is
-            // natively incremental, so mode does not change its shape.
-            BackendKind::Internal => match mode {
-                SolverMode::Oneshot => Box::new(BitBlastSolver::new()),
-                SolverMode::Incremental | SolverMode::Portfolio => {
-                    Box::new(IncrementalSolver::new())
-                }
-            },
-            #[cfg(feature = "z3")]
-            BackendKind::Z3 => Box::new(crate::z3backend::Z3Backend::new()),
-            #[cfg(not(feature = "z3"))]
-            BackendKind::Z3 => unreachable!("resolve() maps Z3 to Internal without the feature"),
-            BackendKind::Auto => unreachable!("resolve() never returns Auto"),
-        }
-    }
-}
 
 /// How a [`GovernedSolver`] discharges queries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -90,10 +37,6 @@ pub enum SolverMode {
     /// learned clauses and bit-blast structure across checks
     /// ([`IncrementalSolver`]).
     Incremental,
-    /// Incremental primary, plus a per-query challenger on its own thread
-    /// racing a fresh context; the first definite verdict wins (primary
-    /// preferred on ties, so reports stay deterministic).
-    Portfolio,
 }
 
 impl SolverMode {
@@ -102,45 +45,38 @@ impl SolverMode {
         match s {
             "oneshot" => Some(SolverMode::Oneshot),
             "incremental" => Some(SolverMode::Incremental),
-            "portfolio" => Some(SolverMode::Portfolio),
             _ => None,
+        }
+    }
+
+    /// A fresh internal backend of this mode: context-per-check in
+    /// oneshot mode, a persistent assumption-literal context otherwise.
+    fn build(self) -> Box<dyn Solver> {
+        match self {
+            SolverMode::Oneshot => Box::new(BitBlastSolver::new()),
+            SolverMode::Incremental => Box::new(IncrementalSolver::new()),
+        }
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            SolverMode::Oneshot => "oneshot",
+            SolverMode::Incremental => "incremental",
         }
     }
 }
 
-/// Smallest formula size (term DAG nodes) for which portfolio mode spawns
-/// a challenger thread. Racing a trivial query costs more in thread setup
-/// than the query itself; small queries run on the primary alone. The
-/// default sits just above the corpus's 90th-percentile query size
-/// (~2.3k nodes), so only the queries that dominate wall-clock race.
-pub const DEFAULT_RACE_MIN_SIZE: usize = 2048;
-
 /// Configuration for [`new_solver`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SolverConfig {
-    /// Backend selection.
-    pub backend: BackendKind,
     /// Query discharge strategy (see [`SolverMode`]).
     pub mode: SolverMode,
-    /// Portfolio only: formula size below which no challenger is spawned.
-    pub race_min_size: usize,
     /// Budget enforced by the governing wrapper.
     pub budget: ResourceBudget,
 }
 
-impl Default for SolverConfig {
-    fn default() -> SolverConfig {
-        SolverConfig {
-            backend: BackendKind::default(),
-            mode: SolverMode::default(),
-            race_min_size: DEFAULT_RACE_MIN_SIZE,
-            budget: ResourceBudget::default(),
-        }
-    }
-}
-
 impl SolverConfig {
-    /// Config with the default backend and the given per-query timeout.
+    /// Config with the default mode and the given per-query timeout.
     pub fn with_timeout(timeout: Duration) -> SolverConfig {
         SolverConfig {
             budget: ResourceBudget {
@@ -152,17 +88,16 @@ impl SolverConfig {
     }
 }
 
-/// Build the standard governed solver for the pipeline: the configured
-/// backend wrapped in a [`GovernedSolver`] enforcing the configured budget.
+/// Build the standard governed solver for the pipeline: the internal
+/// solver in the configured mode, enforcing the configured budget.
 pub fn new_solver(config: &SolverConfig) -> GovernedSolver {
-    let mut s = GovernedSolver::with_mode(config.backend, config.mode);
-    s.race_min_size = config.race_min_size;
+    let mut s = GovernedSolver::new(config.mode);
     s.set_budget(config.budget.clone());
     s
 }
 
-/// Build a governed solver with default backend and the bounded default
-/// budget — the drop-in replacement for bare backend construction.
+/// Build a governed solver in the default mode with the default budget —
+/// the drop-in replacement for bare backend construction.
 pub fn default_solver() -> GovernedSolver {
     new_solver(&SolverConfig::default())
 }
@@ -178,8 +113,6 @@ pub struct GovernanceStats {
     /// the minimum retry backoff — the query returned `Unknown` at once
     /// instead of burning a doomed attempt.
     pub retries_skipped: u64,
-    /// Queries answered by the internal fallback solver.
-    pub fallbacks: u64,
     /// Queries refused or aborted because a budget limit fired.
     pub budget_exhausted: u64,
 }
@@ -188,19 +121,11 @@ pub struct GovernanceStats {
 /// deadline with less than this remaining cannot fit a useful retry.
 const MIN_RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
-/// A [`Solver`] wrapper enforcing [`ResourceBudget`] with retry and
-/// fallback. See the module docs for the exact policy.
+/// A [`Solver`] wrapper enforcing [`ResourceBudget`] with retries. See
+/// the module docs for the exact policy.
 pub struct GovernedSolver {
-    kind: BackendKind,
     mode: SolverMode,
-    /// Portfolio only: spawn a challenger when the formula is at least
-    /// this many term DAG nodes.
-    race_min_size: usize,
     primary: Box<dyn Solver>,
-    /// Fallback solver that answered the most recent query, if any. Kept
-    /// until the next state mutation so `model`/`unsat_core` read from the
-    /// solver that actually produced the result.
-    fallback: Option<BitBlastSolver>,
     /// Mirrored assertion stack (source of truth for rebuilds).
     frames: Vec<Vec<Term>>,
     budget: ResourceBudget,
@@ -210,25 +135,17 @@ pub struct GovernedSolver {
 
 impl Default for GovernedSolver {
     fn default() -> Self {
-        Self::with_backend(BackendKind::Auto)
+        Self::new(SolverMode::default())
     }
 }
 
 impl GovernedSolver {
-    /// Governed solver over the given backend with the bounded default
-    /// budget, in the default (oneshot) mode.
-    pub fn with_backend(kind: BackendKind) -> GovernedSolver {
-        GovernedSolver::with_mode(kind, SolverMode::default())
-    }
-
-    /// Governed solver over the given backend in the given mode.
-    pub fn with_mode(kind: BackendKind, mode: SolverMode) -> GovernedSolver {
+    /// Governed internal solver in the given mode with the bounded default
+    /// budget.
+    pub fn new(mode: SolverMode) -> GovernedSolver {
         GovernedSolver {
-            kind,
             mode,
-            race_min_size: DEFAULT_RACE_MIN_SIZE,
-            primary: kind.build(mode),
-            fallback: None,
+            primary: mode.build(),
             frames: vec![Vec::new()],
             budget: ResourceBudget::bounded_default(),
             stats: GovernanceStats::default(),
@@ -236,19 +153,9 @@ impl GovernedSolver {
         }
     }
 
-    /// The query discharge mode this solver runs.
-    pub fn mode(&self) -> SolverMode {
-        self.mode
-    }
-
     /// Counters for reporting.
     pub fn stats(&self) -> GovernanceStats {
         self.stats
-    }
-
-    /// The backend actually in use after feature resolution.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.kind.resolve()
     }
 
     fn formula_size(&self, assumptions: &[Term]) -> usize {
@@ -269,26 +176,10 @@ impl GovernedSolver {
         }
     }
 
-    /// Rebuild a backend of the primary kind from the mirrored stack,
-    /// optionally with simplified assertions.
-    fn rebuilt_primary(&self, simplified: bool) -> Box<dyn Solver> {
-        let mut s = self.kind.build(self.mode);
-        for frame in &self.frames {
-            s.push();
-            for t in frame {
-                if simplified {
-                    s.assert(&simplify(t));
-                } else {
-                    s.assert(t);
-                }
-            }
-        }
-        s
-    }
-
-    /// Rebuild the internal fallback solver from the mirrored stack.
-    fn rebuilt_fallback(&self) -> BitBlastSolver {
-        let mut s = BitBlastSolver::new();
+    /// Rebuild the backend from the mirrored stack with simplified
+    /// assertions.
+    fn rebuilt_primary(&self) -> Box<dyn Solver> {
+        let mut s = self.mode.build();
         for frame in &self.frames {
             s.push();
             for t in frame {
@@ -298,22 +189,15 @@ impl GovernedSolver {
         s
     }
 
-    /// Any state mutation invalidates the fallback result of the previous
-    /// query.
-    fn invalidate_fallback(&mut self) {
-        self.fallback = None;
-    }
-
     fn governed_check(&mut self, assumptions: &[Term]) -> SatResult {
-        self.invalidate_fallback();
         self.last_error = None;
         self.stats.queries += 1;
         bf4_obs::counter_add("smt.queries", 1);
         let mut sp = bf4_obs::span("smt", "check");
         if sp.is_active() {
-            sp.add_tag("backend", backend_label(self.backend_kind()));
+            sp.add_tag("backend", "internal");
             if self.mode != SolverMode::Oneshot {
-                sp.add_tag("mode", mode_label(self.mode));
+                sp.add_tag("mode", self.mode.label());
             }
         }
         if self
@@ -358,67 +242,12 @@ impl GovernedSolver {
             return SatResult::Unknown;
         }
 
-        // Portfolio: race a challenger on its own thread while the primary
-        // runs. The challenger is a fresh oneshot context of the *other*
-        // backend (which resolves to a fresh internal context when the z3
-        // feature is off) — independent search order is the point. Its
-        // start is staggered: on a healthy query the primary answers
-        // within the stagger and cancels a challenger that is still
-        // asleep, so racing costs one thread spawn, not a duplicated
-        // solve; only a slow (likely stuck) primary lets the challenger
-        // start searching at all.
-        let race = if self.mode == SolverMode::Portfolio && size >= self.race_min_size {
-            bf4_obs::counter_add("smt.race.spawned", 1);
-            let stagger = deadline.map_or(RACE_STAGGER, |d| {
-                RACE_STAGGER.min(d.saturating_duration_since(Instant::now()) / 4)
-            });
-            Some(spawn_challenger(
-                self.frames.clone(),
-                assumptions.to_vec(),
-                self.query_budget(deadline),
-                stagger,
-            ))
-        } else {
-            None
-        };
-
         self.primary.set_budget(self.query_budget(deadline));
         let mut result = if assumptions.is_empty() {
             self.primary.check()
         } else {
             self.primary.check_assumptions(assumptions)
         };
-
-        // Race arbitration: a definite primary verdict always wins (both
-        // solvers are sound and complete on QF_BV, so verdicts agree and
-        // preferring the primary keeps results deterministic). Only when
-        // the primary came back Unknown do we wait out the challenger for
-        // the remaining deadline and adopt its verdict — stored as the
-        // answering solver so model/unsat_core stay consistent.
-        if let Some((rx, cancel)) = race {
-            if result != SatResult::Unknown {
-                bf4_obs::counter_add("smt.race.primary_win", 1);
-            } else {
-                let got = match deadline {
-                    Some(d) => rx
-                        .recv_timeout(d.saturating_duration_since(Instant::now()))
-                        .ok(),
-                    None => rx.recv().ok(),
-                };
-                if let Some((r, challenger)) = got {
-                    if r != SatResult::Unknown {
-                        bf4_obs::counter_add("smt.race.challenger_win", 1);
-                        sp.add_tag("race", "challenger");
-                        result = r;
-                        self.fallback = Some(challenger);
-                    }
-                }
-            }
-            // The race is decided either way: tell a still-running
-            // challenger to stop so it releases its CPU mid-search
-            // instead of solving to completion for a dropped receiver.
-            cancel.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
 
         // Bounded fresh-context retries with simplified formulas. Backoff
         // between attempts is deliberately tiny: the point is to yield and
@@ -455,7 +284,7 @@ impl GovernedSolver {
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
-            let mut fresh = self.rebuilt_primary(true);
+            let mut fresh = self.rebuilt_primary();
             fresh.set_budget(self.query_budget(deadline));
             result = if assumptions.is_empty() {
                 fresh.check()
@@ -469,37 +298,15 @@ impl GovernedSolver {
             }
         }
 
-        // Last resort: the internal solver is complete on QF_BV, so hand
-        // it small formulas the primary could not decide. Pointless when
-        // the primary *is* the internal solver.
-        if result == SatResult::Unknown
-            && self.backend_kind() != BackendKind::Internal
-            && size <= self.budget.fallback_max_size
-            && deadline.is_none_or(|d| Instant::now() < d)
-        {
-            self.stats.fallbacks += 1;
-            bf4_obs::counter_add("smt.fallbacks", 1);
-            sp.add_tag("fallback", "internal");
-            let mut fb = self.rebuilt_fallback();
-            fb.set_budget(self.query_budget(deadline));
-            result = if assumptions.is_empty() {
-                fb.check()
-            } else {
-                fb.check_assumptions(assumptions)
-            };
-            self.fallback = Some(fb);
-        }
-
         if result == SatResult::Unknown {
             self.stats.budget_exhausted += 1;
             bf4_obs::counter_add("smt.budget_exhausted", 1);
-            // Prefer the answering backend's own reason; otherwise report
-            // the deadline, the usual cause.
+            // Prefer the backend's own reason; otherwise report the
+            // deadline, the usual cause.
             self.last_error = self
-                .fallback
-                .as_ref()
-                .and_then(|f| Solver::last_error(f).cloned())
-                .or_else(|| self.primary.last_error().cloned())
+                .primary
+                .last_error()
+                .cloned()
                 .or(Some(SolverError::Budget(BudgetKind::Timeout)));
         }
         if sp.is_active() {
@@ -515,76 +322,6 @@ impl GovernedSolver {
     }
 }
 
-/// How long a portfolio challenger sleeps before it starts solving.
-/// Sized well above the corpus's per-query solve times, so a healthy
-/// primary wins (and cancels the race) while the challenger is still
-/// asleep and has consumed no CPU; a primary that overruns the stagger is
-/// the stuck case the challenger exists for.
-const RACE_STAGGER: Duration = Duration::from_millis(25);
-
-/// Spawn a detached challenger: a fresh oneshot internal context replaying
-/// the mirrored stack, solving under the same per-query budget. The result
-/// (and the solver itself, for model/unsat_core extraction) comes back on
-/// the channel. The returned flag cancels the challenger cooperatively —
-/// the arbiter sets it once the race is decided — at two points: during
-/// the stagger sleep (the healthy-primary case, where the challenger then
-/// exits having done no work) and at the CDCL loop's limit poll (the
-/// mid-search case).
-fn spawn_challenger(
-    frames: Vec<Vec<Term>>,
-    assumptions: Vec<Term>,
-    budget: ResourceBudget,
-    stagger: Duration,
-) -> (
-    mpsc::Receiver<(SatResult, BitBlastSolver)>,
-    Arc<std::sync::atomic::AtomicBool>,
-) {
-    let (tx, rx) = mpsc::channel();
-    let cancel = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let flag = Arc::clone(&cancel);
-    std::thread::spawn(move || {
-        let start = Instant::now();
-        while start.elapsed() < stagger {
-            if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1).min(stagger - start.elapsed()));
-        }
-        let mut s = BitBlastSolver::new();
-        s.set_budget(budget);
-        s.set_cancel(flag);
-        for frame in &frames {
-            s.push();
-            for t in frame {
-                s.assert(t);
-            }
-        }
-        let r = if assumptions.is_empty() {
-            s.check()
-        } else {
-            s.check_assumptions(&assumptions)
-        };
-        let _ = tx.send((r, s));
-    });
-    (rx, cancel)
-}
-
-fn backend_label(kind: BackendKind) -> &'static str {
-    match kind {
-        BackendKind::Internal => "internal",
-        BackendKind::Z3 => "z3",
-        BackendKind::Auto => "auto",
-    }
-}
-
-fn mode_label(mode: SolverMode) -> &'static str {
-    match mode {
-        SolverMode::Oneshot => "oneshot",
-        SolverMode::Incremental => "incremental",
-        SolverMode::Portfolio => "portfolio",
-    }
-}
-
 fn verdict_label(r: SatResult) -> &'static str {
     match r {
         SatResult::Sat => "sat",
@@ -595,7 +332,6 @@ fn verdict_label(r: SatResult) -> &'static str {
 
 impl Solver for GovernedSolver {
     fn assert(&mut self, t: &Term) {
-        self.invalidate_fallback();
         self.frames
             .last_mut()
             .expect("frame stack non-empty (base frame is never popped)")
@@ -604,13 +340,11 @@ impl Solver for GovernedSolver {
     }
 
     fn push(&mut self) {
-        self.invalidate_fallback();
         self.frames.push(Vec::new());
         self.primary.push();
     }
 
     fn pop(&mut self) {
-        self.invalidate_fallback();
         // Unified pop-underflow contract (see `Solver::pop`): on underflow
         // neither the mirror nor the primary pops, so they cannot desync.
         debug_assert!(self.frames.len() > 1, "pop on base assertion frame");
@@ -629,17 +363,11 @@ impl Solver for GovernedSolver {
     }
 
     fn unsat_core(&mut self) -> Vec<usize> {
-        match &mut self.fallback {
-            Some(fb) => fb.unsat_core(),
-            None => self.primary.unsat_core(),
-        }
+        self.primary.unsat_core()
     }
 
     fn model(&mut self, vars: &[(Arc<str>, Sort)]) -> Result<Assignment, SolverError> {
-        match &mut self.fallback {
-            Some(fb) => Solver::model(fb, vars),
-            None => self.primary.model(vars),
-        }
+        self.primary.model(vars)
     }
 
     fn set_budget(&mut self, budget: ResourceBudget) {
@@ -854,8 +582,8 @@ mod tests {
             x.bvult(&Term::bv(8, 12)),
             x.eq_term(&Term::bv(8, 11)),
         ];
-        let mut inc = GovernedSolver::with_mode(BackendKind::Internal, SolverMode::Incremental);
-        let mut one = GovernedSolver::with_mode(BackendKind::Internal, SolverMode::Oneshot);
+        let mut inc = GovernedSolver::new(SolverMode::Incremental);
+        let mut one = GovernedSolver::new(SolverMode::Oneshot);
         for s in [&mut inc, &mut one] {
             s.assert(&prefix);
         }
@@ -869,73 +597,6 @@ mod tests {
                 s.pop();
             }
         }
-    }
-
-    #[test]
-    fn portfolio_races_every_query_and_stays_correct() {
-        // race_min_size 0 spawns a challenger on every check; verdicts and
-        // push/pop behavior must be unchanged by the race.
-        let x = Term::var("x", Sort::Bv(8));
-        let mut s = new_solver(&SolverConfig {
-            backend: BackendKind::Internal,
-            mode: SolverMode::Portfolio,
-            race_min_size: 0,
-            budget: ResourceBudget::bounded_default(),
-        });
-        s.assert(&x.bvugt(&Term::bv(8, 10)));
-        assert_eq!(s.check(), SatResult::Sat);
-        s.push();
-        s.assert(&x.bvult(&Term::bv(8, 5)));
-        assert_eq!(s.check(), SatResult::Unsat);
-        s.pop();
-        assert_eq!(s.mode(), SolverMode::Portfolio);
-    }
-
-    /// A stub primary that can never decide anything — the rig for forcing
-    /// the portfolio challenger to answer.
-    struct AlwaysUnknown;
-
-    impl Solver for AlwaysUnknown {
-        fn assert(&mut self, _: &Term) {}
-        fn push(&mut self) {}
-        fn pop(&mut self) {}
-        fn check(&mut self) -> SatResult {
-            SatResult::Unknown
-        }
-        fn check_assumptions(&mut self, _: &[Term]) -> SatResult {
-            SatResult::Unknown
-        }
-        fn unsat_core(&mut self) -> Vec<usize> {
-            Vec::new()
-        }
-        fn model(&mut self, _: &[(Arc<str>, Sort)]) -> Result<Assignment, SolverError> {
-            Err(SolverError::NoModel)
-        }
-    }
-
-    #[test]
-    fn portfolio_adopts_challenger_verdict_when_primary_is_stuck() {
-        let x = Term::var("x", Sort::Bv(8));
-        let mut s = new_solver(&SolverConfig {
-            backend: BackendKind::Internal,
-            mode: SolverMode::Portfolio,
-            race_min_size: 0,
-            budget: ResourceBudget {
-                max_retries: 0,
-                ..ResourceBudget::bounded_default()
-            },
-        });
-        s.assert(&x.bvmul(&Term::bv(8, 3)).eq_term(&Term::bv(8, 30)));
-        // Swap in a primary that always returns Unknown: with retries off
-        // and an Internal backend (no governed fallback stage), a definite
-        // verdict can only come from the raced challenger.
-        s.primary = Box::new(AlwaysUnknown);
-        assert_eq!(s.check(), SatResult::Sat);
-        // model() must read the challenger, which answered the query.
-        let m = s
-            .model(&[(Arc::from("x"), Sort::Bv(8))])
-            .expect("challenger model");
-        assert_eq!(m.get("x" as &str), Some(&crate::term::Value::bv(8, 10)));
     }
 
     #[test]
@@ -953,7 +614,7 @@ mod tests {
             }
         };
         for mode in [SolverMode::Oneshot, SolverMode::Incremental] {
-            let mut s = GovernedSolver::with_mode(BackendKind::Internal, mode);
+            let mut s = GovernedSolver::new(mode);
             s.assert(&x);
             underflow(&mut s);
             // Base-frame assertions must survive the underflow attempt.
@@ -964,19 +625,5 @@ mod tests {
             s.pop();
             assert_eq!(s.check(), SatResult::Sat);
         }
-    }
-
-    #[cfg(feature = "z3")]
-    #[test]
-    fn z3_stub_unknown_falls_back_to_internal() {
-        // With the vendored z3 stub every check is Unknown, so governance
-        // must route small formulas to the internal solver and still
-        // produce real answers.
-        let x = Term::var("x", Sort::Bv(8));
-        let f = x.bvadd(&Term::bv(8, 1)).eq_term(&Term::bv(8, 0));
-        let mut s = GovernedSolver::with_backend(BackendKind::Z3);
-        let out = s.solve(&f);
-        assert_eq!(out.result, SatResult::Sat);
-        assert!(s.stats().fallbacks > 0);
     }
 }

@@ -163,7 +163,6 @@ impl IncrementalSolver {
         let limits = SolveLimits {
             deadline,
             max_conflicts: self.budget.max_conflicts,
-            cancel: None,
         };
         let result = match ctx.sat.solve_limited(&all, &limits) {
             SolveResult::Sat => SatResult::Sat,
@@ -232,7 +231,6 @@ impl Solver for IncrementalSolver {
         let limits = SolveLimits {
             deadline: self.budget.timeout.map(|t| Instant::now() + t),
             max_conflicts: self.budget.max_conflicts,
-            cancel: None,
         };
         let sat = &mut self.ctx.as_mut().unwrap().sat;
         let mut kept: Vec<usize> = (0..all.len()).collect();

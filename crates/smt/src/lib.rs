@@ -11,20 +11,18 @@
 //! * **analyses** over terms: free variables, substitution, size metrics,
 //!   and a concrete evaluator ([`eval`]) used by the dataplane interpreter
 //!   and the differential test harness;
-//! * an **internal bit-blasting CDCL solver** ([`sat`], [`bitblast`]): the
-//!   default, dependency-free backend exposing the solver operations the
-//!   paper's algorithms rely on — incremental `check`, models,
-//!   assumption-based checking and unsat cores (Algorithm 1 of the paper is
-//!   built directly on these);
-//! * a `Z3Backend` (behind the `z3` feature) lowering terms to Z3 ASTs
-//!   while preserving DAG sharing; without a real libz3 the vendored stub
-//!   answers `Unknown` to everything, which the governance layer absorbs;
+//! * an **internal bit-blasting CDCL solver** ([`sat`], [`bitblast`],
+//!   [`incremental`]): the only, dependency-free backend, in a oneshot and
+//!   an incremental mode, exposing the solver operations the paper's
+//!   algorithms rely on — incremental `check`, models, assumption-based
+//!   checking and unsat cores (Algorithm 1 of the paper is built directly
+//!   on these). The paper runs on Z3; the [`Solver`] trait is the seam
+//!   where such a backend would plug in;
 //! * a **governance layer** ([`governed`]): [`GovernedSolver`] enforces
-//!   [`ResourceBudget`]s (deadlines, query counts, formula-size caps) on
-//!   any backend, retries transient `Unknown`s on a fresh context and
-//!   falls back to the internal solver for small formulas. Pipelines
-//!   construct solvers through [`new_solver`]/[`default_solver`] so every
-//!   query in the system is budgeted.
+//!   [`ResourceBudget`]s (deadlines, query counts, formula-size caps) and
+//!   retries transient `Unknown`s on a fresh context. Pipelines construct
+//!   solvers through [`new_solver`]/[`default_solver`] so every query in
+//!   the system is budgeted.
 //!
 //! The term language is deliberately small: the P4 fragment bf4 analyses
 //! compiles to quantifier-free bit-vector logic (QF_BV) only.
@@ -41,14 +39,10 @@ pub mod simplify;
 pub mod solver;
 pub mod term;
 pub mod visit;
-#[cfg(feature = "z3")]
-pub mod z3backend;
 
 pub use canon::{canon_key, query_key, schema_fingerprint};
 pub use eval::{eval, Assignment, EvalError};
-pub use governed::{
-    default_solver, new_solver, BackendKind, GovernedSolver, SolverConfig, SolverMode,
-};
+pub use governed::{default_solver, new_solver, GovernedSolver, SolverConfig, SolverMode};
 pub use incremental::IncrementalSolver;
 pub use sexpr::{parse_sexpr, to_sexpr};
 pub use solver::{
@@ -56,5 +50,3 @@ pub use solver::{
 };
 pub use term::{Sort, Term, TermNode, Value};
 pub use visit::{free_vars, substitute, term_size};
-#[cfg(feature = "z3")]
-pub use z3backend::Z3Backend;

@@ -1,14 +1,12 @@
 //! A CDCL SAT solver with two-watched-literal propagation, first-UIP clause
 //! learning, VSIDS-style activities, phase saving and Luby restarts.
 //!
-//! This solver backs the internal [`crate::bitblast::BitBlastSolver`] used
-//! as an independent oracle against Z3 in differential tests. It is a
-//! complete, dependency-free implementation — not a toy DPLL — but it is
-//! tuned for the modest formula sizes that role requires.
+//! This solver backs [`crate::bitblast::BitBlastSolver`] and
+//! [`crate::incremental::IncrementalSolver`], the two modes of bf4's only
+//! solver path. It is a complete, dependency-free implementation — not a
+//! toy DPLL — tuned for the formula sizes the corpus produces.
 
 use crate::cnf::{Clause, Lit};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Ternary assignment value.
@@ -49,11 +47,6 @@ pub struct SolveLimits {
     pub deadline: Option<Instant>,
     /// Abort with [`SolveResult::Unknown`] after this many conflicts.
     pub max_conflicts: Option<u64>,
-    /// Cooperative cancellation: abort with [`SolveResult::Unknown`] once
-    /// this flag reads `true`. Polled at the deadline cadence; a portfolio
-    /// race sets it so the losing solver releases its CPU as soon as a
-    /// winner is known.
-    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 const CLAUSE_UNDEF: usize = usize::MAX;
@@ -509,10 +502,6 @@ impl CdclSolver {
                         self.backtrack(0);
                         return SolveResult::Unknown;
                     }
-                }
-                if limits.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
-                    self.backtrack(0);
-                    return SolveResult::Unknown;
                 }
             }
             let conflict = self.propagate();

@@ -3,11 +3,11 @@
 //! backends.
 //!
 //! Three implementations exist: [`crate::bitblast::BitBlastSolver`] (the
-//! internal CDCL solver over bit-blasted formulas, the default backend),
-//! `Z3Backend` (behind the `z3` feature), and
-//! [`crate::governed::GovernedSolver`], which wraps either and enforces
-//! budgets, retries transient `Unknown`s and falls back to the internal
-//! solver.
+//! internal CDCL solver over bit-blasted formulas, one context per check),
+//! [`crate::incremental::IncrementalSolver`] (the same engine over one
+//! persistent context), and [`crate::governed::GovernedSolver`], which
+//! wraps either, enforces budgets and retries transient `Unknown`s. The
+//! trait is also the seam where another backend could be plugged in.
 
 use crate::term::{Sort, Term};
 use crate::Assignment;
@@ -98,9 +98,6 @@ pub struct ResourceBudget {
     /// How many times a governed solver retries a transient `Unknown` on a
     /// fresh context with a simplified formula.
     pub max_retries: u32,
-    /// Largest formula size the governed solver will hand to the internal
-    /// bit-blaster as a fallback after the primary backend gave `Unknown`.
-    pub fallback_max_size: usize,
 }
 
 impl Default for ResourceBudget {
@@ -111,7 +108,6 @@ impl Default for ResourceBudget {
             max_formula_size: None,
             max_conflicts: None,
             max_retries: 1,
-            fallback_max_size: 200_000,
         }
     }
 }

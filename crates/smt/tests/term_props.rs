@@ -1,6 +1,6 @@
 //! Algebraic property tests over the term language: the evaluator is the
 //! semantics, and classic bit-vector/boolean laws must hold for random
-//! operand values. (Z3 agreement is covered by the cross-crate
+//! operand values. (Solver agreement is covered by the cross-crate
 //! `solver_differential` suite; these tests are solver-free and fast.)
 
 use bf4_smt::{eval, Assignment, Sort, Term, Value};

@@ -7,5 +7,5 @@
 //! * `replay` — static counterexamples reproduce on the interpreter;
 //! * `annotations_roundtrip` — the compile-time artifact survives its
 //!   textual round trip for every corpus program;
-//! * `solver_differential` — the Z3 backend and the internal CDCL
-//!   bit-blaster agree on random formulas.
+//! * `solver_differential` — the governed solver and the raw internal
+//!   CDCL bit-blaster agree on random formulas.

@@ -179,7 +179,7 @@ fn egress_analysis_runs_in_separation() {
 #[test]
 fn verification_is_deterministic() {
     // Two runs of the full pipeline must produce identical counts and
-    // identical annotation text (Z3 is deterministic per build; our own
+    // identical annotation text (the internal solver is deterministic; our own
     // passes use ordered containers where order matters).
     let p = bf4_corpus::by_name("simple_nat").unwrap();
     let a = verify(p.source, &VerifyOptions::default()).unwrap();

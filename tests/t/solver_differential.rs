@@ -1,5 +1,5 @@
 //! Differential testing of the solver layer: the governed solver (with
-//! its budget enforcement, retries, and fallback routing) and the raw
+//! its budget enforcement and retries) and the raw
 //! internal CDCL bit-blaster must agree on satisfiability for random
 //! QF_BV formulas, and every `Sat` model must actually evaluate to true.
 //! The same harness cross-checks the simplifier and the S-expression
